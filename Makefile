@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race bench-smoke rejoin-bench load load-smoke load-diff fuzz-smoke
+.PHONY: check fmt vet build test race bench-smoke rejoin-bench load load-smoke load-diff fuzz-smoke perfbench
 
 check: fmt vet build test bench-smoke fuzz-smoke
 
@@ -28,6 +28,13 @@ bench-smoke:
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzWireRoundTrip -fuzztime 10s ./internal/wire
 	$(GO) test -run XXX -fuzz FuzzXDRRoundTrip -fuzztime 10s ./internal/xdr
+
+# The repo benchmark's own tests, then a short large-file run. The run exits
+# non-zero unless every read checks out and every acknowledged write is
+# durable when the stopped stores are reopened from their on-disk layout.
+perfbench:
+	cd perfbench && $(GO) test ./...
+	bash perfbench/run.sh --workload large-file --seed 1 --seconds 6 --trace 0
 
 # A8 rejoin benchmark at full scale: a server in a 10k-segment group
 # crashes, recovers its checkpoint+log store, and rejoins incrementally.

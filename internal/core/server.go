@@ -261,10 +261,12 @@ func (s *Server) createSeg(ctx context.Context, id SegID, params Params) (SegID,
 	if err != nil {
 		return 0, err
 	}
+	sg.mu.Lock()
 	sg.group = grp
 	s.tab.put(id, sg)
 	s.persistMeta(sg)
 	s.persistReplica(sg, version.InitialMajor, sg.local[version.InitialMajor])
+	sg.mu.Unlock()
 	return id, nil
 }
 
@@ -771,37 +773,62 @@ func dataKey(id SegID, major uint64) string {
 
 func (s *Server) persistMeta(sg *segment) {
 	// Callers hold sg.mu.
-	s.stPut(sg, bucketMeta, segKey(sg.id), wire.MarshalSized(sg.snapshotLocked()))
+	s.stWrite(sg, store.Op{Bucket: bucketMeta, Key: segKey(sg.id), Val: wire.MarshalSized(sg.snapshotLocked())})
 }
 
 func (s *Server) deleteMeta(sg *segment) {
-	s.stDelete(sg, bucketMeta, segKey(sg.id))
+	s.stWrite(sg, store.Op{Bucket: bucketMeta, Key: segKey(sg.id), Delete: true})
 }
 
+// A replica persists as one value under dataKey: its version pair, stable
+// flag and data length (replicaHdrSz bytes), then the data. Only creates,
+// truncates, forks and transfers write the whole image; a write persists as
+// patches of the header and of the range it wrote, and a stability flip as a
+// patch of the header alone (§3.5 only needs the change a cast makes durable).
+const replicaHdrSz = 16 + 1 + 4
+
+// persistReplica stores rep's whole image. Callers hold sg.mu, so the store
+// sees a segment's images and patches in the order memory changed.
 func (s *Server) persistReplica(sg *segment, major uint64, rep *localReplica) {
-	e := wire.NewEncoder(make([]byte, 0, rep.pair.SizeWire()+1+wire.SizeBytes32(rep.data)))
+	e := wire.NewEncoder(make([]byte, 0, replicaHdrSz+len(rep.data)))
 	rep.pair.MarshalWire(e)
 	e.Bool(rep.stable)
 	e.Bytes32(rep.data)
-	s.stPut(sg, bucketData, dataKey(sg.id, major), e.Bytes())
+	s.stWrite(sg, store.Op{Bucket: bucketData, Key: dataKey(sg.id, major), Val: e.Bytes()})
 }
 
-// stPut routes a persistence write through the segment's group-commit stage
-// when a batched cast is being applied, else straight to the store.
-func (s *Server) stPut(sg *segment, bucket, key string, val []byte) {
-	op := store.Op{Bucket: bucket, Key: key, Val: val}
-	if sg != nil && sg.stage(op) {
-		return
-	}
-	_ = s.st.Put(bucket, key, val)
+// replicaHeaderPatch is the patch that rewrites the header of major's
+// persisted image to match rep.
+func replicaHeaderPatch(sg *segment, major uint64, rep *localReplica) store.Op {
+	e := wire.NewEncoder(make([]byte, 0, replicaHdrSz))
+	rep.pair.MarshalWire(e)
+	e.Bool(rep.stable)
+	e.Uint32(uint32(len(rep.data))) // Bytes32's length prefix
+	return store.Op{Bucket: bucketData, Key: dataKey(sg.id, major), Val: e.Bytes(), Patch: true}
 }
 
-func (s *Server) stDelete(sg *segment, bucket, key string) {
-	op := store.Op{Bucket: bucket, Key: key, Delete: true}
-	if sg != nil && sg.stage(op) {
+// persistReplicaHeader persists a change of rep's pair or stable flag.
+// Callers hold sg.mu.
+func (s *Server) persistReplicaHeader(sg *segment, major uint64, rep *localReplica) {
+	s.stWrite(sg, replicaHeaderPatch(sg, major, rep))
+}
+
+// persistReplicaWrite persists a non-truncating write of payload at off,
+// already applied to rep, as a header patch and a patch of the written
+// range. Callers hold sg.mu.
+func (s *Server) persistReplicaWrite(sg *segment, major uint64, rep *localReplica, off int64, payload []byte) {
+	hdr := replicaHeaderPatch(sg, major, rep)
+	s.stWrite(sg, hdr, store.Op{Bucket: bucketData, Key: hdr.Key, Val: payload, Patch: true, Off: replicaHdrSz + off})
+}
+
+// stWrite routes persistence writes through the segment's group-commit stage
+// when a delivered cast is being applied, else straight to the store as one
+// batch.
+func (s *Server) stWrite(sg *segment, ops ...store.Op) {
+	if sg != nil && sg.stage(ops...) {
 		return
 	}
-	_ = s.st.Delete(bucket, key)
+	_ = s.st.PutBatch(ops)
 }
 
 func (s *Server) loadReplica(id SegID, major uint64) *localReplica {
@@ -823,7 +850,7 @@ func (s *Server) loadReplica(id SegID, major uint64) *localReplica {
 }
 
 func (s *Server) deleteReplicaData(sg *segment, major uint64) {
-	s.stDelete(sg, bucketData, dataKey(sg.id, major))
+	s.stWrite(sg, store.Op{Bucket: bucketData, Key: dataKey(sg.id, major), Delete: true})
 }
 
 // ------------------------------------------------------------ app glue --
@@ -833,7 +860,17 @@ type segApp struct {
 	sg *segment
 }
 
+// Deliver applies one delivered cast and persists everything it dirtied as
+// one Store.PutBatch — a single fsync on a log-structured store — before the
+// reply, the origin's ack, is returned.
 func (a *segApp) Deliver(from simnet.NodeID, payload []byte) []byte {
+	a.sg.beginCommit()
+	out := a.deliver(from, payload)
+	a.sg.commit()
+	return out
+}
+
+func (a *segApp) deliver(from simnet.NodeID, payload []byte) []byte {
 	var m castMsg
 	if err := wire.Unmarshal(payload, &m); err != nil {
 		return wire.MarshalSized(replyFail(derr.CodeInvalid, "bad message: "+err.Error()))
@@ -843,20 +880,16 @@ func (a *segApp) Deliver(from simnet.NodeID, payload []byte) []byte {
 	return wire.MarshalSized(a.sg.apply(from, &m))
 }
 
-// DeliverBatch applies a batched cast's sub-ops back to back and persists
-// everything they dirtied as one Store.PutBatch: on a log-structured store
-// the whole cast costs a single fsync (§3.5 group commit), and the flush
-// happens before the replies — the origin's acks — are returned.
+// DeliverBatch applies a batched cast's sub-ops back to back inside one
+// group-commit window: the whole cast costs a single fsync (§3.5 group
+// commit), and the flush happens before the replies are returned.
 func (a *segApp) DeliverBatch(from simnet.NodeID, payloads [][]byte) [][]byte {
-	sg := a.sg
-	sg.beginCommit()
+	a.sg.beginCommit()
 	outs := make([][]byte, len(payloads))
 	for i, sp := range payloads {
-		outs[i] = a.Deliver(from, sp)
+		outs[i] = a.deliver(from, sp)
 	}
-	if ops := sg.endCommit(); len(ops) > 0 {
-		_ = sg.srv.st.PutBatch(ops)
-	}
+	a.sg.commit()
 	return outs
 }
 

@@ -145,54 +145,61 @@ type segment struct {
 	wqPending []*pendingWrite
 	wqActive  bool
 
-	// Group-commit staging (§3.5): while a batched cast is being applied,
+	// Group-commit staging (§3.5): while a delivered cast is being applied,
 	// persistence writes land here instead of the store and are flushed as
 	// one Store.PutBatch — a single fsync for the whole cast — before the
-	// batch's replies (the acks) go back to the origin. Guarded by its own
-	// mutex because some persist call sites run outside sg.mu.
-	stageMu   sync.Mutex
-	batching  bool
-	staged    []store.Op
-	stagedIdx map[string]int
+	// cast's replies (the acks) go back to the origin. Guarded by its own
+	// mutex because some persist call sites run outside the delivery path.
+	stageMu  sync.Mutex
+	batching bool
+	staged   []store.Op
 }
 
-// stage buffers op if a group commit is open on this segment, keeping ops in
-// first-write order with last-value-wins dedup per key. Reports whether the
-// op was captured.
-func (sg *segment) stage(op store.Op) bool {
+// stage buffers ops if a group commit is open on this segment, reporting
+// whether they were captured. Patches keep their order; a full put or delete
+// supersedes every op staged earlier on its key, since it rewrites the key
+// whole.
+func (sg *segment) stage(ops ...store.Op) bool {
 	sg.stageMu.Lock()
 	defer sg.stageMu.Unlock()
 	if !sg.batching {
 		return false
 	}
-	k := op.Bucket + "\x00" + op.Key
-	if i, ok := sg.stagedIdx[k]; ok {
-		sg.staged[i] = op
-		return true
+	for _, op := range ops {
+		if !op.Patch {
+			kept := sg.staged[:0]
+			for _, p := range sg.staged {
+				if p.Bucket != op.Bucket || p.Key != op.Key {
+					kept = append(kept, p)
+				}
+			}
+			clear(sg.staged[len(kept):])
+			sg.staged = kept
+		}
+		sg.staged = append(sg.staged, op)
 	}
-	sg.stagedIdx[k] = len(sg.staged)
-	sg.staged = append(sg.staged, op)
 	return true
 }
 
-// beginCommit opens a group-commit window; endCommit closes it and returns
-// the staged ops for a single PutBatch.
+// beginCommit opens a group-commit window; commit closes it and persists the
+// staged ops as one PutBatch. commit holds stageMu across the PutBatch, so
+// no unstaged write to the segment's keys can reach the store between the
+// window closing and its ops landing.
 func (sg *segment) beginCommit() {
 	sg.stageMu.Lock()
 	sg.batching = true
-	sg.stagedIdx = make(map[string]int)
-	sg.staged = nil
 	sg.stageMu.Unlock()
 }
 
-func (sg *segment) endCommit() []store.Op {
+func (sg *segment) commit() {
 	sg.stageMu.Lock()
-	ops := sg.staged
+	defer sg.stageMu.Unlock()
 	sg.batching = false
-	sg.staged = nil
-	sg.stagedIdx = nil
-	sg.stageMu.Unlock()
-	return ops
+	if len(sg.staged) > 0 {
+		_ = sg.srv.st.PutBatch(sg.staged)
+	}
+	clear(sg.staged) // drop the payload references; keep the capacity
+	sg.staged = sg.staged[:0]
 }
 
 func newSegment(srv *Server, id SegID) *segment {
@@ -373,7 +380,11 @@ func (sg *segment) applyUpdate(from simnet.NodeID, m *castMsg) *castReply {
 	if rep != nil {
 		rep.data = applyData(rep.data, m.Off, m.Data, m.Truncate)
 		rep.pair = ms.pair
-		sg.srv.persistReplica(sg, major, rep)
+		if m.Truncate {
+			sg.srv.persistReplica(sg, major, rep)
+		} else {
+			sg.srv.persistReplicaWrite(sg, major, rep, m.Off, m.Data)
+		}
 	}
 	sg.lastWrite = time.Now()
 	sg.srv.persistMeta(sg)
@@ -417,7 +428,7 @@ func (sg *segment) applyMarkUnstable(from simnet.NodeID, m *castMsg) *castReply 
 	sg.epoch++
 	if rep := sg.local[m.Major]; rep != nil {
 		rep.stable = false
-		sg.srv.persistReplica(sg, m.Major, rep)
+		sg.srv.persistReplicaHeader(sg, m.Major, rep)
 		sg.srv.persistMeta(sg)
 		return &castReply{OK: true, IsReplica: true, Pair: ms.pair, HadReaders: hadReaders}
 	}
@@ -436,7 +447,7 @@ func (sg *segment) applyMarkStable(from simnet.NodeID, m *castMsg) *castReply {
 	ms.unstable = false
 	if rep := sg.local[m.Major]; rep != nil {
 		rep.stable = true
-		sg.srv.persistReplica(sg, m.Major, rep)
+		sg.srv.persistReplicaHeader(sg, m.Major, rep)
 	}
 	sg.srv.persistMeta(sg)
 	return &castReply{OK: true, Pair: ms.pair}
@@ -462,7 +473,7 @@ func (sg *segment) applyForceStable(from simnet.NodeID, m *castMsg) *castReply {
 			sg.srv.deleteReplicaData(sg, m.Major)
 		} else {
 			rep.stable = true
-			sg.srv.persistReplica(sg, m.Major, rep)
+			sg.srv.persistReplicaHeader(sg, m.Major, rep)
 		}
 	}
 	// Drop replica records for members that reported obsolete state.
@@ -571,7 +582,7 @@ func (sg *segment) applyTokenUpdate(from simnet.NodeID, m *castMsg) *castReply {
 		ms.unstable = true
 		if rep := sg.local[major]; rep != nil {
 			rep.stable = false
-			sg.srv.persistReplica(sg, major, rep)
+			sg.srv.persistReplicaHeader(sg, major, rep)
 		}
 	}
 	um := *m

@@ -189,11 +189,14 @@ func (s *Server) fetchReplica(sg *segment, major uint64, source simnet.NodeID) {
 		}
 	}
 
+	// Install and persist under sg.mu: a stability flip delivered meanwhile
+	// changes rep under the same lock and persists as a header patch, which
+	// the store must see after this full image, not before it.
 	sg.mu.Lock()
 	rep := &localReplica{data: buf, pair: pair, stable: stable}
 	sg.local[major] = rep
-	sg.mu.Unlock()
 	s.persistReplica(sg, major, rep)
+	sg.mu.Unlock()
 
 	grp := sg.groupHandle()
 	if grp == nil {

@@ -24,7 +24,9 @@ import (
 //
 // This is the §3.5 "mix of synchronous and asynchronous writes, depending on
 // safety" made concrete: the fsync is the synchronous part and it is paid
-// once per delivered cast batch, not once per key.
+// once per delivered cast batch, not once per key. A patch op (Op.Patch) is
+// logged as just the bytes it writes and their offset; memory and
+// checkpoints always hold whole values.
 //
 // On-disk layout under dir:
 //
@@ -165,6 +167,16 @@ func OpenLog(dir string, opts LogOptions) (*LogStore, error) {
 	return s, nil
 }
 
+// syncDir fsyncs a directory so a rename (or unlink) inside it is durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}
+
 func sweepCheckpointTemps(dir string) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -203,6 +215,9 @@ func (s *LogStore) PutBatch(ops []Op) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.usableLocked(); err != nil {
+		return err
+	}
+	if err := checkPatches(ops, s.hasLocked); err != nil {
 		return err
 	}
 
@@ -275,24 +290,33 @@ func (s *LogStore) fireLocked(p CrashPoint) bool {
 	return false
 }
 
+// applyLocked applies a validated batch (see checkPatches) to memory.
 func (s *LogStore) applyLocked(ops []Op) {
 	for _, op := range ops {
 		b := s.mem[op.Bucket]
-		if op.Delete {
+		switch {
+		case op.Delete:
 			if b != nil {
 				delete(b, op.Key)
 				if len(b) == 0 {
 					delete(s.mem, op.Bucket)
 				}
 			}
-			continue
+		case op.Patch:
+			b[op.Key] = patched(b[op.Key], op.Off, op.Val)
+		default:
+			if b == nil {
+				b = make(map[string][]byte)
+				s.mem[op.Bucket] = b
+			}
+			b[op.Key] = append([]byte(nil), op.Val...)
 		}
-		if b == nil {
-			b = make(map[string][]byte)
-			s.mem[op.Bucket] = b
-		}
-		b[op.Key] = append([]byte(nil), op.Val...)
 	}
+}
+
+func (s *LogStore) hasLocked(bucket, key string) bool {
+	_, ok := s.mem[bucket][key]
+	return ok
 }
 
 // ----------------------------------------------------------------- reads --
@@ -530,6 +554,14 @@ func (s *LogStore) replayLog() error {
 
 // ---------------------------------------------------------------- framing --
 
+// Op kinds in a log frame. Kinds 0 and 1 predate patches and replay
+// unchanged.
+const (
+	kindPut    byte = 0
+	kindDelete byte = 1
+	kindPatch  byte = 2
+)
+
 // encodeFrame builds one record batch frame:
 //
 //	magic  uint32
@@ -537,23 +569,53 @@ func (s *LogStore) replayLog() error {
 //	nops   uint32
 //	len    uint32  (payload length)
 //	crc    uint32  (CRC32-C over seq, nops and payload)
-//	payload
+//	payload: per op, kind uint8, bucket, key, [off uint64 if a patch], val
+//
+// where bucket, key and val are each a uint32 length and the bytes.
 func encodeFrame(seq uint64, ops []Op) []byte {
-	payload := encodeOps(ops)
-	out := make([]byte, frameHdrSz+len(payload))
+	n := frameHdrSz
+	for _, op := range ops {
+		n += 1 + 4 + len(op.Bucket) + 4 + len(op.Key) + 4 + len(op.Val)
+		if op.Patch {
+			n += 8
+		}
+	}
+	out := make([]byte, frameHdrSz, n)
 	binary.BigEndian.PutUint32(out[0:], logMagic)
 	binary.BigEndian.PutUint64(out[4:], seq)
 	binary.BigEndian.PutUint32(out[12:], uint32(len(ops)))
-	binary.BigEndian.PutUint32(out[16:], uint32(len(payload)))
-	copy(out[frameHdrSz:], payload)
+	binary.BigEndian.PutUint32(out[16:], uint32(n-frameHdrSz))
+	for _, op := range ops {
+		switch {
+		case op.Delete:
+			out = append(out, kindDelete)
+		case op.Patch:
+			out = append(out, kindPatch)
+		default:
+			out = append(out, kindPut)
+		}
+		out = appendField(out, op.Bucket)
+		out = appendField(out, op.Key)
+		if op.Patch {
+			out = binary.BigEndian.AppendUint64(out, uint64(op.Off))
+		}
+		out = appendField(out, op.Val)
+	}
 	crc := crc32.Update(0, crcTable, out[4:16])
-	crc = crc32.Update(crc, crcTable, payload)
+	crc = crc32.Update(crc, crcTable, out[frameHdrSz:])
 	binary.BigEndian.PutUint32(out[20:], crc)
 	return out
 }
 
+// appendField appends a uint32 length and the bytes of s.
+func appendField[T string | []byte](out []byte, s T) []byte {
+	out = binary.BigEndian.AppendUint32(out, uint32(len(s)))
+	return append(out, s...)
+}
+
 // decodeFrame parses the frame at the head of data, returning its total
 // length, sequence and ops. ok is false for a short, torn or corrupt frame.
+// The ops' values alias data.
 func decodeFrame(data []byte) (frameLen int, seq uint64, ops []Op, ok bool) {
 	if len(data) < frameHdrSz {
 		return 0, 0, nil, false
@@ -581,74 +643,78 @@ func decodeFrame(data []byte) (frameLen int, seq uint64, ops []Op, ok bool) {
 	return frameHdrSz + int(plen), seq, ops, true
 }
 
-func encodeOps(ops []Op) []byte {
-	n := 0
-	for _, op := range ops {
-		n += 1 + 4 + len(op.Bucket) + 4 + len(op.Key) + 4 + len(op.Val)
+// fieldReader reads length-prefixed fields off a byte slice.
+type fieldReader struct {
+	data []byte
+	off  int
+}
+
+// field returns the next length-prefixed field, capped so that appending to
+// it can never overwrite the bytes that follow.
+func (r *fieldReader) field() ([]byte, error) {
+	if r.off+4 > len(r.data) {
+		return nil, io.ErrUnexpectedEOF
 	}
-	out := make([]byte, 0, n)
-	var u32 [4]byte
-	putStr := func(s string) {
-		binary.BigEndian.PutUint32(u32[:], uint32(len(s)))
-		out = append(out, u32[:]...)
-		out = append(out, s...)
+	l := int(binary.BigEndian.Uint32(r.data[r.off:]))
+	r.off += 4
+	if l > len(r.data)-r.off {
+		return nil, io.ErrUnexpectedEOF
 	}
-	for _, op := range ops {
-		kind := byte(0)
-		if op.Delete {
-			kind = 1
-		}
-		out = append(out, kind)
-		putStr(op.Bucket)
-		putStr(op.Key)
-		binary.BigEndian.PutUint32(u32[:], uint32(len(op.Val)))
-		out = append(out, u32[:]...)
-		out = append(out, op.Val...)
+	f := r.data[r.off : r.off+l : r.off+l]
+	r.off += l
+	return f, nil
+}
+
+func (r *fieldReader) uint32() (uint32, error) {
+	if r.off+4 > len(r.data) {
+		return 0, io.ErrUnexpectedEOF
 	}
-	return out
+	v := binary.BigEndian.Uint32(r.data[r.off:])
+	r.off += 4
+	return v, nil
 }
 
 func decodeOps(data []byte, n int) ([]Op, error) {
 	ops := make([]Op, 0, min(n, 4096))
-	off := 0
-	str := func() (string, error) {
-		if off+4 > len(data) {
-			return "", io.ErrUnexpectedEOF
-		}
-		l := int(binary.BigEndian.Uint32(data[off:]))
-		off += 4
-		if off+l > len(data) {
-			return "", io.ErrUnexpectedEOF
-		}
-		s := string(data[off : off+l])
-		off += l
-		return s, nil
-	}
+	r := fieldReader{data: data}
 	for i := 0; i < n; i++ {
-		if off >= len(data) {
+		if r.off >= len(data) {
 			return nil, io.ErrUnexpectedEOF
 		}
-		kind := data[off]
-		off++
-		bucket, err := str()
+		kind := data[r.off]
+		r.off++
+		bucket, err := r.field()
 		if err != nil {
 			return nil, err
 		}
-		key, err := str()
+		key, err := r.field()
 		if err != nil {
 			return nil, err
 		}
-		val, err := str()
+		op := Op{Bucket: string(bucket), Key: string(key)}
+		switch kind {
+		case kindPut:
+		case kindDelete:
+			op.Delete = true
+		case kindPatch:
+			if r.off+8 > len(data) {
+				return nil, io.ErrUnexpectedEOF
+			}
+			op.Patch, op.Off = true, int64(binary.BigEndian.Uint64(data[r.off:]))
+			r.off += 8
+		default:
+			return nil, fmt.Errorf("unknown op kind %d", kind)
+		}
+		val, err := r.field()
 		if err != nil {
 			return nil, err
 		}
-		op := Op{Bucket: bucket, Key: key, Delete: kind == 1}
 		if !op.Delete {
-			op.Val = []byte(val)
+			op.Val = val
 		}
 		ops = append(ops, op)
 	}
-	if off != len(data) {
+	if r.off != len(data) {
 		return nil, errors.New("trailing bytes")
 	}
 	return ops, nil
@@ -661,37 +727,33 @@ func decodeOps(data []byte, n int) ([]Op, error) {
 //	crc uint32 (over everything after magic)
 func encodeCheckpoint(seq uint64, mem map[string]map[string][]byte) []byte {
 	buckets := make([]string, 0, len(mem))
-	for b := range mem {
+	n := 16 + 4
+	for b, kv := range mem {
 		buckets = append(buckets, b)
+		n += 4 + len(b) + 4
+		for k, v := range kv {
+			n += 4 + len(k) + 4 + len(v)
+		}
 	}
 	sort.Strings(buckets)
-	out := make([]byte, 16)
+	out := make([]byte, 16, n)
 	binary.BigEndian.PutUint32(out[0:], ckptMagic)
 	binary.BigEndian.PutUint64(out[4:], seq)
 	binary.BigEndian.PutUint32(out[12:], uint32(len(buckets)))
-	var u32 [4]byte
-	putStr := func(s string) {
-		binary.BigEndian.PutUint32(u32[:], uint32(len(s)))
-		out = append(out, u32[:]...)
-		out = append(out, s...)
-	}
 	for _, b := range buckets {
-		putStr(b)
+		out = appendField(out, b)
 		keys := make([]string, 0, len(mem[b]))
 		for k := range mem[b] {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
-		binary.BigEndian.PutUint32(u32[:], uint32(len(keys)))
-		out = append(out, u32[:]...)
+		out = binary.BigEndian.AppendUint32(out, uint32(len(keys)))
 		for _, k := range keys {
-			putStr(k)
-			putStr(string(mem[b][k]))
+			out = appendField(out, k)
+			out = appendField(out, mem[b][k])
 		}
 	}
-	crc := crc32.Checksum(out[4:], crcTable)
-	binary.BigEndian.PutUint32(u32[:], crc)
-	return append(out, u32[:]...)
+	return binary.BigEndian.AppendUint32(out, crc32.Checksum(out[4:], crcTable))
 }
 
 func decodeCheckpoint(data []byte) (uint64, map[string]map[string][]byte, error) {
@@ -707,46 +769,33 @@ func decodeCheckpoint(data []byte) (uint64, map[string]map[string][]byte, error)
 	}
 	seq := binary.BigEndian.Uint64(body[4:])
 	nb := int(binary.BigEndian.Uint32(body[12:]))
-	off := 16
-	str := func() (string, error) {
-		if off+4 > len(body) {
-			return "", io.ErrUnexpectedEOF
-		}
-		l := int(binary.BigEndian.Uint32(body[off:]))
-		off += 4
-		if off+l > len(body) {
-			return "", io.ErrUnexpectedEOF
-		}
-		s := string(body[off : off+l])
-		off += l
-		return s, nil
-	}
+	r := fieldReader{data: body, off: 16}
 	mem := make(map[string]map[string][]byte, nb)
 	for i := 0; i < nb; i++ {
-		bname, err := str()
+		bname, err := r.field()
 		if err != nil {
 			return 0, nil, err
 		}
-		if off+4 > len(body) {
-			return 0, nil, io.ErrUnexpectedEOF
+		nk, err := r.uint32()
+		if err != nil {
+			return 0, nil, err
 		}
-		nk := int(binary.BigEndian.Uint32(body[off:]))
-		off += 4
 		b := make(map[string][]byte, nk)
-		for j := 0; j < nk; j++ {
-			k, err := str()
+		for j := uint32(0); j < nk; j++ {
+			k, err := r.field()
 			if err != nil {
 				return 0, nil, err
 			}
-			v, err := str()
+			v, err := r.field()
 			if err != nil {
 				return 0, nil, err
 			}
-			b[k] = []byte(v)
+			// Values own their bytes: patches later modify them in place.
+			b[string(k)] = append([]byte(nil), v...)
 		}
-		mem[bname] = b
+		mem[string(bname)] = b
 	}
-	if off != len(body) {
+	if r.off != len(body) {
 		return 0, nil, errors.New("trailing bytes")
 	}
 	return seq, mem, nil

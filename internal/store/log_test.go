@@ -38,9 +38,17 @@ func model(batches [][]store.Op, n int) map[string]string {
 	for _, b := range batches[:n] {
 		for _, op := range b {
 			k := op.Bucket + "/" + op.Key
-			if op.Delete {
+			switch {
+			case op.Delete:
 				delete(m, k)
-			} else {
+			case op.Patch:
+				v := []byte(m[k])
+				if end := int(op.Off) + len(op.Val); end > len(v) {
+					v = append(v, make([]byte, end-len(v))...)
+				}
+				copy(v[op.Off:], op.Val)
+				m[k] = string(v)
+			default:
 				m[k] = string(op.Val)
 			}
 		}
@@ -61,9 +69,11 @@ func equalState(a, b map[string]string) bool {
 }
 
 // randBatches generates nb random batches over a small key space so
-// overwrites and deletes are common.
+// overwrites, deletes and patches are common. A patch only ever names a key
+// that is live once every earlier op has applied, so every batch commits.
 func randBatches(rng *rand.Rand, nb int) [][]store.Op {
 	buckets := []string{"meta", "data", "b"}
+	size := make(map[string]int) // live keys and their value lengths
 	batches := make([][]store.Op, nb)
 	for i := range batches {
 		n := 1 + rng.Intn(6)
@@ -73,12 +83,23 @@ func randBatches(rng *rand.Rand, nb int) [][]store.Op {
 				Bucket: buckets[rng.Intn(len(buckets))],
 				Key:    fmt.Sprintf("k%d", rng.Intn(8)),
 			}
-			if rng.Intn(5) == 0 {
+			k := op.Bucket + "/" + op.Key
+			cur, live := size[k]
+			switch r := rng.Intn(5); {
+			case r == 0:
 				op.Delete = true
-			} else {
+				delete(size, k)
+			case r <= 2 && live:
+				op.Patch = true
+				op.Off = int64(rng.Intn(cur + 16))
+				op.Val = make([]byte, rng.Intn(16))
+				rng.Read(op.Val)
+				size[k] = max(cur, int(op.Off)+len(op.Val))
+			default:
 				val := make([]byte, rng.Intn(64))
 				rng.Read(val)
 				op.Val = val
+				size[k] = len(val)
 			}
 			ops[j] = op
 		}
@@ -117,6 +138,51 @@ func TestLogPersistsAcrossReopen(t *testing.T) {
 	}
 	if _, ok, _ := s2.Get("b", "y"); ok {
 		t.Error("deleted key resurrected by replay")
+	}
+}
+
+// TestLogPatchReplay reopens a log whose suffix holds patches on top of a
+// checkpointed base image; replay must rebuild the patched values exactly.
+func TestLogPatchReplay(t *testing.T) {
+	dir := t.TempDir()
+	s, err := store.OpenLog(dir, store.LogOptions{CheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := bytes.Repeat([]byte("."), 64)
+	if err := s.Put("data", "f", base); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	batches := [][]store.Op{{{Bucket: "data", Key: "f", Val: base}}}
+	for i := 0; i < 10; i++ {
+		b := []store.Op{
+			{Bucket: "data", Key: "f", Patch: true, Off: 0, Val: []byte{byte(i)}},
+			{Bucket: "data", Key: "f", Patch: true, Off: int64(8 * i), Val: bytes.Repeat([]byte{'a' + byte(i)}, 12)},
+		}
+		if err := s.PutBatch(b); err != nil {
+			t.Fatal(err)
+		}
+		batches = append(batches, b)
+	}
+	want := model(batches, len(batches))
+	if got := dump(t, s); !equalState(got, want) {
+		t.Fatalf("live state %v, want %v", got, want)
+	}
+	s.Close()
+
+	s2, err := store.OpenLog(dir, store.LogOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got := dump(t, s2); !equalState(got, want) {
+		t.Fatalf("replayed state %v, want %v", got, want)
+	}
+	if v, _, _ := s2.Get("data", "f"); len(v) != 8*9+12 {
+		t.Fatalf("replayed length %d, want %d", len(v), 8*9+12)
 	}
 }
 

@@ -11,8 +11,6 @@
 //     depending on safety"; MemStore models this with synchronous and
 //     asynchronous write modes and a Crash operation that discards
 //     unsynced writes.
-//   - DiskStore, a directory-backed store using atomic rename for
-//     durability, one file per key.
 //   - LogStore (log.go), an append-only segment log with periodic
 //     checkpoints: a whole batch of operations is group-committed as one
 //     framed, CRC-protected record with a single fsync, and recovery is
@@ -20,25 +18,26 @@
 package store
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
+	"math"
 	"sort"
-	"strings"
 	"sync"
 )
 
 // Op is one mutation inside a PutBatch group commit: a put of Val under
-// (Bucket, Key), or — when Delete is set — a removal of the key.
+// (Bucket, Key), a removal of the key when Delete is set, or — when Patch is
+// set — a write of Val at byte Off of the key's existing value, which is
+// zero-extended first if Val ends past it. A patch persists only the bytes
+// that changed; the value a later Get returns is still the whole image.
+// Delete and Patch are exclusive.
 type Op struct {
 	Bucket string
 	Key    string
 	Val    []byte
 	Delete bool
+	Patch  bool
+	Off    int64
 }
 
 // Store is the non-volatile storage interface.
@@ -72,6 +71,53 @@ type Syncer interface {
 
 // ErrClosed is returned by operations on a closed store.
 var ErrClosed = errors.New("store: closed")
+
+// ErrMissingKey is returned (wrapped with the key) by a PutBatch holding a
+// patch whose key neither exists nor is put earlier in the same batch. The
+// whole batch is refused before anything is applied or logged.
+var ErrMissingKey = errors.New("store: patch of a missing key")
+
+// checkPatches validates every patch in ops before any op is applied: the
+// key must exist (per has) or be put earlier in the batch and not deleted
+// since, and the patched value must stay within the 32-bit value length the
+// on-disk formats use.
+func checkPatches(ops []Op, has func(bucket, key string) bool) error {
+	for i, op := range ops {
+		if !op.Patch {
+			continue
+		}
+		if op.Delete {
+			return fmt.Errorf("store: op on %s/%q both patches and deletes", op.Bucket, op.Key)
+		}
+		if op.Off < 0 || op.Off+int64(len(op.Val)) > math.MaxUint32 {
+			return fmt.Errorf("store: patch of %s/%q at offset %d is out of range", op.Bucket, op.Key, op.Off)
+		}
+		live, found := false, false
+		for j := i - 1; j >= 0; j-- {
+			if p := ops[j]; !p.Patch && p.Bucket == op.Bucket && p.Key == op.Key {
+				live, found = !p.Delete, true
+				break
+			}
+		}
+		if !found {
+			live = has(op.Bucket, op.Key)
+		}
+		if !live {
+			return fmt.Errorf("%w: %s/%q", ErrMissingKey, op.Bucket, op.Key)
+		}
+	}
+	return nil
+}
+
+// patched writes p at off in v, zero-extending v when p ends past it, and
+// returns the result; v's bytes are modified in place.
+func patched(v []byte, off int64, p []byte) []byte {
+	if end := int(off) + len(p); end > len(v) {
+		v = append(v, make([]byte, end-len(v))...)
+	}
+	copy(v[off:], p)
+	return v
+}
 
 // WriteMode selects durability behavior for MemStore.
 type WriteMode int
@@ -126,19 +172,37 @@ func (s *MemStore) PutBatch(ops []Op) error {
 	if s.closed {
 		return ErrClosed
 	}
+	if err := checkPatches(ops, func(b, k string) bool {
+		_, ok := s.getLocked(b, k)
+		return ok
+	}); err != nil {
+		return err
+	}
 	for _, op := range ops {
 		if op.Delete {
 			s.deleteLocked(op.Bucket, op.Key)
 			continue
 		}
-		cp := append([]byte(nil), op.Val...)
+		var val []byte
+		if op.Patch {
+			// A synced value may be patched in place in WriteSync mode;
+			// in WriteAsync mode it must survive a crash, so the overlay
+			// gets a patched copy unless the value is already the overlay's.
+			cur, _ := s.getLocked(op.Bucket, op.Key)
+			if e, ok := s.dirty[op.Bucket][op.Key]; s.mode == WriteAsync && !(ok && !e.deleted) {
+				cur = append([]byte(nil), cur...)
+			}
+			val = patched(cur, op.Off, op.Val)
+		} else {
+			val = append([]byte(nil), op.Val...)
+		}
 		if s.mode == WriteSync {
 			b := s.synced[op.Bucket]
 			if b == nil {
 				b = make(map[string][]byte)
 				s.synced[op.Bucket] = b
 			}
-			b[op.Key] = cp
+			b[op.Key] = val
 			continue
 		}
 		b := s.dirty[op.Bucket]
@@ -146,12 +210,22 @@ func (s *MemStore) PutBatch(ops []Op) error {
 			b = make(map[string]memEntry)
 			s.dirty[op.Bucket] = b
 		}
-		b[op.Key] = memEntry{val: cp}
+		b[op.Key] = memEntry{val: val}
 	}
 	if s.mode == WriteSync && len(ops) > 0 {
 		s.syncs++
 	}
 	return nil
+}
+
+// getLocked returns the visible value of a key (overlay first), without
+// copying it.
+func (s *MemStore) getLocked(bucket, key string) ([]byte, bool) {
+	if e, ok := s.dirty[bucket][key]; ok {
+		return e.val, !e.deleted
+	}
+	v, ok := s.synced[bucket][key]
+	return v, ok
 }
 
 // Get implements Store.
@@ -161,16 +235,11 @@ func (s *MemStore) Get(bucket, key string) ([]byte, bool, error) {
 	if s.closed {
 		return nil, false, ErrClosed
 	}
-	if e, ok := s.dirty[bucket][key]; ok {
-		if e.deleted {
-			return nil, false, nil
-		}
-		return append([]byte(nil), e.val...), true, nil
+	v, ok := s.getLocked(bucket, key)
+	if !ok {
+		return nil, false, nil
 	}
-	if v, ok := s.synced[bucket][key]; ok {
-		return append([]byte(nil), v...), true, nil
-	}
-	return nil, false, nil
+	return append([]byte(nil), v...), true, nil
 }
 
 // Delete implements Store.
@@ -269,296 +338,6 @@ func (s *MemStore) Crash() {
 
 // Close implements Store.
 func (s *MemStore) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.closed = true
-	return nil
-}
-
-// DiskStore is a directory-backed Store. Each bucket is a subdirectory and
-// each key a file whose name is the hex encoding of the key (so arbitrary
-// key bytes are safe). Writes go through a temporary file, an fsync, an
-// atomic rename, and an fsync of the parent directory — every Put pays two
-// fsyncs, which is exactly the per-operation cost profile LogStore's group
-// commit exists to amortize.
-type DiskStore struct {
-	mu     sync.Mutex
-	dir    string
-	syncs  uint64
-	closed bool
-}
-
-var _ Store = (*DiskStore)(nil)
-var _ Syncer = (*DiskStore)(nil)
-
-// OpenDisk opens (creating if necessary) a disk store rooted at dir. Stale
-// temporary files left by a crash between CreateTemp and Rename are swept:
-// they were never linked under their key name, so they are invisible to Get
-// and would otherwise accumulate forever.
-func OpenDisk(dir string) (*DiskStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	sweepTempFiles(dir)
-	return &DiskStore{dir: dir}, nil
-}
-
-// sweepTempFiles removes .tmp-* droppings from dir's bucket subdirectories.
-func sweepTempFiles(dir string) {
-	buckets, err := os.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	for _, b := range buckets {
-		if !b.IsDir() {
-			if strings.HasPrefix(b.Name(), ".tmp-") || strings.HasPrefix(b.Name(), ".ckpt-") {
-				_ = os.Remove(filepath.Join(dir, b.Name()))
-			}
-			continue
-		}
-		ents, err := os.ReadDir(filepath.Join(dir, b.Name()))
-		if err != nil {
-			continue
-		}
-		for _, ent := range ents {
-			if strings.HasPrefix(ent.Name(), ".tmp-") {
-				_ = os.Remove(filepath.Join(dir, b.Name(), ent.Name()))
-			}
-		}
-	}
-}
-
-// syncDir fsyncs a directory so a rename (or unlink) inside it is durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}
-
-func (s *DiskStore) bucketDir(bucket string) string {
-	return filepath.Join(s.dir, hex.EncodeToString([]byte(bucket)))
-}
-
-func (s *DiskStore) keyPath(bucket, key string) string {
-	// The "k" prefix keeps the empty key representable as a filename. Keys
-	// whose hex encoding would exceed filesystem name limits are stored
-	// under a hash; the real key is recoverable from the file header.
-	enc := hex.EncodeToString([]byte(key))
-	if len(enc) <= 200 {
-		return filepath.Join(s.bucketDir(bucket), "k"+enc)
-	}
-	sum := sha256.Sum256([]byte(key))
-	return filepath.Join(s.bucketDir(bucket), "h"+hex.EncodeToString(sum[:]))
-}
-
-// encodeRecord frames a key and value into one file body.
-func encodeRecord(key string, val []byte) []byte {
-	out := make([]byte, 4+len(key)+len(val))
-	binary.BigEndian.PutUint32(out, uint32(len(key)))
-	copy(out[4:], key)
-	copy(out[4+len(key):], val)
-	return out
-}
-
-// decodeRecord splits a file body back into key and value.
-func decodeRecord(data []byte) (string, []byte, error) {
-	if len(data) < 4 {
-		return "", nil, errors.New("store: corrupt record header")
-	}
-	n := binary.BigEndian.Uint32(data)
-	if uint64(n)+4 > uint64(len(data)) {
-		return "", nil, errors.New("store: corrupt record key length")
-	}
-	return string(data[4 : 4+n]), data[4+n:], nil
-}
-
-// Put implements Store.
-func (s *DiskStore) Put(bucket, key string, val []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	return s.putLocked(bucket, key, val)
-}
-
-func (s *DiskStore) putLocked(bucket, key string, val []byte) error {
-	bd := s.bucketDir(bucket)
-	if err := os.MkdirAll(bd, 0o755); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	tmp, err := os.CreateTemp(bd, ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(encodeRecord(key, val)); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return fmt.Errorf("store: %w", err)
-	}
-	// The rename must not be allowed to expose a file whose *contents* are
-	// still in the page cache: fsync the data before linking it under the
-	// key name, then fsync the directory so the rename itself is durable.
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return fmt.Errorf("store: %w", err)
-	}
-	s.syncs++
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(name, s.keyPath(bucket, key)); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := syncDir(bd); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	s.syncs++
-	return nil
-}
-
-// PutBatch implements Store. DiskStore has no log to group-commit into: the
-// ops are applied in order with full per-op durability (two fsyncs each) —
-// the baseline the A7 ablation measures LogStore against.
-func (s *DiskStore) PutBatch(ops []Op) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	for _, op := range ops {
-		var err error
-		if op.Delete {
-			err = s.deleteLocked(op.Bucket, op.Key)
-		} else {
-			err = s.putLocked(op.Bucket, op.Key, op.Val)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Get implements Store.
-func (s *DiskStore) Get(bucket, key string) ([]byte, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, false, ErrClosed
-	}
-	data, err := os.ReadFile(s.keyPath(bucket, key))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, false, fmt.Errorf("store: %w", err)
-	}
-	k, val, err := decodeRecord(data)
-	if err != nil {
-		return nil, false, err
-	}
-	if k != key {
-		return nil, false, nil // hash collision with a different key
-	}
-	return val, true, nil
-}
-
-// Delete implements Store.
-func (s *DiskStore) Delete(bucket, key string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	return s.deleteLocked(bucket, key)
-}
-
-func (s *DiskStore) deleteLocked(bucket, key string) error {
-	err := os.Remove(s.keyPath(bucket, key))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := syncDir(s.bucketDir(bucket)); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	s.syncs++
-	return nil
-}
-
-// Keys implements Store.
-func (s *DiskStore) Keys(bucket string) ([]string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	ents, err := os.ReadDir(s.bucketDir(bucket))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	out := make([]string, 0, len(ents))
-	for _, ent := range ents {
-		switch {
-		case strings.HasPrefix(ent.Name(), "k"):
-			raw, err := hex.DecodeString(ent.Name()[1:])
-			if err != nil {
-				continue // foreign file; ignore
-			}
-			out = append(out, string(raw))
-		case strings.HasPrefix(ent.Name(), "h"):
-			// Long key: recover it from the record header.
-			data, err := os.ReadFile(filepath.Join(s.bucketDir(bucket), ent.Name()))
-			if err != nil {
-				continue
-			}
-			k, _, err := decodeRecord(data)
-			if err != nil {
-				continue
-			}
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// Sync implements Store. Every Put and Delete already fsyncs its data file
-// and parent directory before returning (see putLocked), so there is nothing
-// left to flush here — the durability claim is enforced per operation, which
-// is precisely why this store cannot keep up with batched casts and why
-// LogStore group-commits instead.
-func (s *DiskStore) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	return nil
-}
-
-// Syncs implements Syncer.
-func (s *DiskStore) Syncs() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.syncs
-}
-
-// Close implements Store.
-func (s *DiskStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.closed = true

@@ -2,12 +2,11 @@ package store
 
 import (
 	"bytes"
-	"encoding/hex"
+	"errors"
 	"fmt"
-	"io/fs"
+	"math/rand"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -15,10 +14,6 @@ import (
 // storeImpls returns a fresh instance of every Store implementation.
 func storeImpls(t *testing.T) map[string]Store {
 	t.Helper()
-	disk, err := OpenDisk(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
 	logst, err := OpenLog(t.TempDir(), LogOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -26,7 +21,6 @@ func storeImpls(t *testing.T) map[string]Store {
 	return map[string]Store{
 		"mem-sync":  NewMemStore(WriteSync),
 		"mem-async": NewMemStore(WriteAsync),
-		"disk":      disk,
 		"log":       logst,
 	}
 }
@@ -161,6 +155,212 @@ func TestClosedStoreErrors(t *testing.T) {
 	}
 }
 
+func TestPatchAllImpls(t *testing.T) {
+	for name, s := range storeImpls(t) {
+		t.Run(name, func(t *testing.T) {
+			defer s.Close()
+			expect := func(key, want string) {
+				t.Helper()
+				v, ok, err := s.Get("b", key)
+				if err != nil || !ok || string(v) != want {
+					t.Fatalf("Get(%s) = %q %v %v, want %q", key, v, ok, err, want)
+				}
+			}
+			if err := s.Put("b", "k", []byte("hello world")); err != nil {
+				t.Fatal(err)
+			}
+			// Patch inside the value.
+			if err := s.PutBatch([]Op{{Bucket: "b", Key: "k", Patch: true, Off: 6, Val: []byte("WORLD")}}); err != nil {
+				t.Fatal(err)
+			}
+			expect("k", "hello WORLD")
+			// Patch past the end: the gap is zero-filled.
+			if err := s.PutBatch([]Op{{Bucket: "b", Key: "k", Patch: true, Off: 14, Val: []byte("!!")}}); err != nil {
+				t.Fatal(err)
+			}
+			expect("k", "hello WORLD\x00\x00\x00!!")
+			// Put then patches of the new key in one batch, applied in order.
+			if err := s.PutBatch([]Op{
+				{Bucket: "b", Key: "n", Val: []byte("abc")},
+				{Bucket: "b", Key: "n", Patch: true, Off: 1, Val: []byte("XY")},
+				{Bucket: "b", Key: "n", Patch: true, Off: 2, Val: []byte("Z")},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			expect("n", "aXZ")
+			// A patch must not alias the caller's buffer.
+			buf := []byte("q")
+			if err := s.PutBatch([]Op{{Bucket: "b", Key: "n", Patch: true, Off: 0, Val: buf}}); err != nil {
+				t.Fatal(err)
+			}
+			buf[0] = '#'
+			expect("n", "qXZ")
+		})
+	}
+}
+
+func TestPatchMissingKeyAllImpls(t *testing.T) {
+	for name, s := range storeImpls(t) {
+		t.Run(name, func(t *testing.T) {
+			defer s.Close()
+			if err := s.Put("b", "gone", []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			walBytes := func() int64 {
+				if ls, ok := s.(*LogStore); ok {
+					fi, err := os.Stat(filepath.Join(ls.Dir(), walName))
+					if err != nil {
+						t.Fatal(err)
+					}
+					return fi.Size()
+				}
+				return 0
+			}
+			before := walBytes()
+			for _, batch := range [][]Op{
+				{{Bucket: "b", Key: "never", Patch: true, Val: []byte("x")}},
+				// The put of "early" must not land: the batch is refused whole.
+				{
+					{Bucket: "b", Key: "early", Val: []byte("e")},
+					{Bucket: "b", Key: "gone", Delete: true},
+					{Bucket: "b", Key: "gone", Patch: true, Val: []byte("x")},
+				},
+			} {
+				err := s.PutBatch(batch)
+				if !errors.Is(err, ErrMissingKey) {
+					t.Fatalf("PutBatch = %v, want ErrMissingKey", err)
+				}
+			}
+			for _, bad := range []Op{
+				{Bucket: "b", Key: "gone", Patch: true, Off: -1, Val: []byte("x")},
+				{Bucket: "b", Key: "gone", Patch: true, Delete: true},
+			} {
+				if err := s.PutBatch([]Op{bad}); err == nil {
+					t.Fatalf("invalid patch %+v accepted", bad)
+				}
+			}
+			if walBytes() != before {
+				t.Fatal("refused batch left a frame in the log")
+			}
+			if _, ok, _ := s.Get("b", "early"); ok {
+				t.Fatal("op of a refused batch was applied")
+			}
+			if v, ok, _ := s.Get("b", "gone"); !ok || string(v) != "v" {
+				t.Fatalf("refused batch changed a key: %q %v", v, ok)
+			}
+		})
+	}
+}
+
+// TestPatchRandomAllImpls applies random batches of puts, deletes and patches
+// to every implementation and checks each against a plain-map model; the log
+// store is also checkpointed mid-run and reopened, so its checkpoint and its
+// patch-holding log suffix must together reproduce the same state.
+func TestPatchRandomAllImpls(t *testing.T) {
+	for iter := 0; iter < 5; iter++ {
+		rng := rand.New(rand.NewSource(int64(iter) + 1))
+		model := make(map[string][]byte)
+		var batches [][]Op
+		for i := 0; i < 40; i++ {
+			var ops []Op
+			for j := 0; j < 1+rng.Intn(5); j++ {
+				k := fmt.Sprintf("k%d", rng.Intn(6))
+				op := Op{Bucket: "b", Key: k}
+				cur, live := model[k]
+				switch r := rng.Intn(6); {
+				case r == 0:
+					op.Delete = true
+					delete(model, k)
+				case r < 4 && live:
+					op.Patch, op.Off = true, int64(rng.Intn(len(cur)+8))
+					op.Val = make([]byte, rng.Intn(12))
+					rng.Read(op.Val)
+					model[k] = patched(append([]byte(nil), cur...), op.Off, op.Val)
+				default:
+					op.Val = make([]byte, rng.Intn(24))
+					rng.Read(op.Val)
+					model[k] = op.Val
+				}
+				ops = append(ops, op)
+			}
+			batches = append(batches, ops)
+		}
+		check := func(name string, s Store) {
+			t.Helper()
+			keys, err := s.Keys("b")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(keys) != len(model) {
+				t.Fatalf("iter %d %s: keys %v, model has %d", iter, name, keys, len(model))
+			}
+			for k, want := range model {
+				if got, ok, err := s.Get("b", k); err != nil || !ok || !bytes.Equal(got, want) {
+					t.Fatalf("iter %d %s: Get(%s) = %x %v %v, want %x", iter, name, k, got, ok, err, want)
+				}
+			}
+		}
+		for name, s := range storeImpls(t) {
+			for i, b := range batches {
+				if err := s.PutBatch(b); err != nil {
+					t.Fatalf("iter %d %s batch %d: %v", iter, name, i, err)
+				}
+				if ls, ok := s.(*LogStore); ok && i == len(batches)/2 {
+					if err := ls.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := s.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			check(name, s)
+			if ls, ok := s.(*LogStore); ok {
+				ls.Close()
+				re, err := OpenLog(ls.Dir(), LogOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(name+" reopened", re)
+				if err := re.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				re.Close()
+				if re, err = OpenLog(ls.Dir(), LogOptions{}); err != nil {
+					t.Fatal(err)
+				}
+				check(name+" checkpointed", re)
+				re.Close()
+				continue
+			}
+			s.Close()
+		}
+	}
+}
+
+// A patch in WriteAsync mode is volatile like any other unsynced write: a
+// crash restores the synced value, untouched by the patch.
+func TestMemAsyncPatchLostOnCrash(t *testing.T) {
+	s := NewMemStore(WriteAsync)
+	defer s.Close()
+	if err := s.Put("b", "k", []byte("abc")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutBatch([]Op{{Bucket: "b", Key: "k", Patch: true, Off: 1, Val: []byte("ZZZ")}}); err != nil {
+		t.Fatal(err)
+	}
+	if v, _, _ := s.Get("b", "k"); string(v) != "aZZZ" {
+		t.Fatalf("patched value = %q", v)
+	}
+	s.Crash()
+	if v, _, _ := s.Get("b", "k"); string(v) != "abc" {
+		t.Fatalf("after crash = %q, want the synced value", v)
+	}
+}
+
 func TestMemCrashLosesUnsyncedWrites(t *testing.T) {
 	s := NewMemStore(WriteAsync)
 	defer s.Close()
@@ -204,72 +404,6 @@ func TestMemSyncModeSurvivesCrash(t *testing.T) {
 	s.Crash()
 	if _, ok, _ := s.Get("b", "k"); !ok {
 		t.Error("sync-mode write lost on crash")
-	}
-}
-
-func TestDiskPersistsAcrossReopen(t *testing.T) {
-	dir := t.TempDir()
-	s, err := OpenDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("seg", "file1", []byte("contents")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := OpenDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	v, ok, err := s2.Get("seg", "file1")
-	if err != nil || !ok || string(v) != "contents" {
-		t.Fatalf("reopened Get = %q %v %v", v, ok, err)
-	}
-}
-
-// A crash between CreateTemp and Rename leaves .tmp-* droppings; OpenDisk
-// must sweep them so they never accumulate or shadow real keys.
-func TestDiskSweepsStaleTempFiles(t *testing.T) {
-	dir := t.TempDir()
-	s, err := OpenDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("seg", "real", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-
-	// Simulate the crash droppings in the root and in a bucket dir.
-	for _, p := range []string{
-		filepath.Join(dir, ".tmp-123456"),
-		filepath.Join(dir, hex.EncodeToString([]byte("seg")), ".tmp-999999"),
-	} {
-		if err := os.WriteFile(p, []byte("junk"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	s2, err := OpenDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if v, ok, _ := s2.Get("seg", "real"); !ok || string(v) != "v" {
-		t.Fatalf("real key lost: %q %v", v, ok)
-	}
-	err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err == nil && strings.HasPrefix(filepath.Base(path), ".tmp-") {
-			t.Errorf("stale temp file survived open: %s", path)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -319,21 +453,35 @@ func TestQuickAsyncSyncEquivalence(t *testing.T) {
 	}
 }
 
-// Property: disk store round-trips arbitrary binary values.
-func TestQuickDiskRoundTrip(t *testing.T) {
-	s, err := OpenDisk(t.TempDir())
+// Property: the log store round-trips arbitrary keys and binary values,
+// live and after a reopen replays them from the log.
+func TestQuickLogRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenLog(dir, LogOptions{CheckpointBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	want := make(map[string][]byte)
 	f := func(key string, val []byte) bool {
 		if err := s.Put("q", key, val); err != nil {
 			return false
 		}
+		want[key] = val
 		got, ok, err := s.Get("q", key)
 		return err == nil && ok && bytes.Equal(got, val)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+	s.Close()
+	s2, err := OpenLog(dir, LogOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	for k, v := range want {
+		if got, ok, err := s2.Get("q", k); err != nil || !ok || !bytes.Equal(got, v) {
+			t.Fatalf("after reopen Get(%q) = %q %v %v, want %q", k, got, ok, err, v)
+		}
 	}
 }
